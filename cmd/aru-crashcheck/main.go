@@ -23,7 +23,7 @@
 //	aru-crashcheck [-seed N] [-seeds N] [-states N] [-reorder-window N]
 //	               [-workloads mixed,fs,shard,net] [-fs] [-shards N]
 //	               [-min-states N] [-conc N] [-recover-crash]
-//	               [-inject none|nosync|untagged-replay|ack-early|torn-delta|commit-before-prepare-sync]
+//	               [-inject none|nosync|untagged-replay|ack-early|torn-delta|split-tail|commit-before-prepare-sync]
 //	               [-replay E<e>K<k>[D...][T...][+RE..K..] | -replay G<g>/E..K../...] [-v]
 package main
 
@@ -47,7 +47,7 @@ func main() {
 		shards    = flag.Int("shards", 0, "shard count for the sharded 2PC workload; >0 implies -workloads shard")
 		minStates = flag.Int("min-states", 0, "fail unless at least this many distinct states were explored")
 		conc      = flag.Int("conc", 0, "mixed-workload concurrent committers per group-commit phase (0 = sequential scripts)")
-		inject    = flag.String("inject", "none", "deliberate engine bug to validate the oracle: none, nosync, untagged-replay, ack-early, torn-delta, commit-before-prepare-sync (shard workload)")
+		inject    = flag.String("inject", "none", "deliberate engine bug to validate the oracle: none, nosync, untagged-replay, ack-early, torn-delta, split-tail, commit-before-prepare-sync (shard workload)")
 		recCrash  = flag.Bool("recover-crash", false, "also crash recovery itself on a sampled subset of clean states and re-check")
 		recSample = flag.Int("recover-sample", 0, "reciprocal sampling rate for -recover-crash (default 16)")
 		replay    = flag.String("replay", "", "replay one crash state descriptor (requires a single workload and seed); outer+RE..K.. replays a recovery re-crash")

@@ -1,6 +1,7 @@
 // Command aru-inspect dumps the on-disk structures of a logical-disk
-// image: superblock, checkpoint regions, segment trailers, and — with
-// -seg — the summary entries of one segment.
+// image: superblock, checkpoint regions, segment trailers (with each
+// segment's written extents, trailer version and data-CRC verdict),
+// and — with -seg — the summary entries of one segment.
 //
 // Usage:
 //
@@ -78,8 +79,8 @@ func main() {
 		if err != nil {
 			continue // never written or torn
 		}
-		fmt.Printf("  seg %4d: seq %6d, %4d data blocks, %5d entries (%d B)\n",
-			s, tr.Seq, tr.DataBlocks, tr.EntryCount, tr.EntryBytes)
+		fmt.Printf("  seg %4d: seq %6d, %4d data blocks, %5d entries (%d B), trailer v%d, %s\n",
+			s, tr.Seq, tr.DataBlocks, tr.EntryCount, tr.EntryBytes, tr.Version, describeExtents(layout, tr, body))
 		if s != *segIdx {
 			continue
 		}
@@ -108,6 +109,32 @@ func main() {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "aru-inspect:", err)
 	os.Exit(1)
+}
+
+// describeExtents renders the byte ranges the segment's seal wrote and,
+// for a two-extent segment, whether its data extent matches the
+// trailer's data CRC (a mismatch inside the replay window is an
+// un-synced hole: recovery cuts the log there).
+func describeExtents(l seg.Layout, tr seg.Trailer, body []byte) string {
+	ext := tr.Extents(l)
+	s := fmt.Sprintf("%d extent", len(ext))
+	if len(ext) > 1 {
+		s += "s"
+	}
+	for i, x := range ext {
+		sep := " "
+		if i > 0 {
+			sep = "+"
+		}
+		s += fmt.Sprintf("%s[%d,%d)", sep, x[0], x[0]+x[1])
+	}
+	switch {
+	case !tr.Split(l):
+		return s + ", written whole"
+	case tr.VerifyData(l, body) != nil:
+		return s + ", data crc MISMATCH"
+	}
+	return s + ", data crc ok"
 }
 
 // printCkptRegion dumps one checkpoint region as an incremental chain:

@@ -451,3 +451,56 @@ func TestSegmentsAccounting(t *testing.T) {
 		t.Fatalf("live blocks sum to %d, want 30", live)
 	}
 }
+
+// TestAbortedAllocsSwept: the blocks aborted units allocate are freed
+// after the engine's next automatic checkpoint, so a workload that
+// keeps aborting does not grow the block table until the next mount
+// (the leak the mount-time sweep would otherwise face whole).
+func TestAbortedAllocsSwept(t *testing.T) {
+	d, _ := newTestLLD(t, Params{CheckpointEvery: 4})
+	lst, _ := d.NewList(0)
+	data := make([]byte, d.BlockSize())
+	for i := 0; i < 400; i++ {
+		a, err := d.BeginARU()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := d.NewBlock(a, lst, NilBlock)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Write(a, b, data); err != nil {
+			t.Fatal(err)
+		}
+		if i%2 == 0 {
+			if err := d.AbortARU(a); err != nil {
+				t.Fatal(err)
+			}
+		} else if err := d.EndARU(a); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if blocks, _ := d.ListBlocks(0, lst); len(blocks) > 4 {
+			// Keep the committed list short so the log never fills.
+			if err := d.DeleteBlock(0, blocks[len(blocks)-1]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	st := d.Stats()
+	if st.Checkpoints < 20 || st.LeakedBlocksFreed < 180 {
+		t.Fatalf("%d automatic checkpoints swept %d of the 200 aborted allocations", st.Checkpoints, st.LeakedBlocksFreed)
+	}
+	freed, err := d.CheckDisk()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 200 - st.LeakedBlocksFreed; int64(freed) != want {
+		t.Fatalf("full sweep freed %d, want the %d aborted since the last checkpoint", freed, want)
+	}
+	if err := d.VerifyInternal(); err != nil {
+		t.Fatal(err)
+	}
+}

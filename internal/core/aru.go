@@ -375,8 +375,10 @@ func (d *LLD) discardShadow(st *aruState) {
 // of its operations ever reach the committed state. Identifiers it
 // allocated remain allocated (allocation always happens in the
 // committed state) until a consistency check frees them, exactly as for
-// an ARU interrupted by a crash (paper §3.3). The sequential variant
-// cannot abort, since it applies operations in place.
+// an ARU interrupted by a crash (paper §3.3): CheckDisk, the sweep at
+// mount, or the sweep of the unit's own blocks after the engine's next
+// automatic checkpoint (sweepAborted). The sequential variant cannot
+// abort, since it applies operations in place.
 func (d *LLD) AbortARU(aru ARUID) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -394,6 +396,11 @@ func (d *LLD) AbortARU(aru ARUID) error {
 	ts := d.tick()
 	if err := d.appendEntry(seg.Entry{Kind: seg.KindAbort, ARU: aru, TS: ts}); err != nil {
 		return err
+	}
+	for _, op := range st.linkLog {
+		if op.kind == opInsert {
+			d.abortAllocs = append(d.abortAllocs, op.block)
+		}
 	}
 	d.discardShadow(st)
 	delete(d.arus, aru)

@@ -72,9 +72,9 @@ const batchWindow = time.Millisecond
 type sealedSeg struct {
 	idx     int          // segment index on the device
 	seq     uint64       // log sequence number in the trailer
-	bld     *seg.Builder // owns img; reset and reused after completion
+	bld     *seg.Builder // owns img and ext; reset and reused after completion
 	img     []byte       // sealed image (aliases bld's buffer)
-	off     int64        // device offset of the segment
+	ext     []seg.Extent // the byte ranges to write (alias bld's buffer)
 	commits int          // commit records sealed into the segment
 	stamps  []commitStamp
 	frees   []int // segments freed by this seal's promotions (quarantined)
@@ -205,28 +205,10 @@ func (d *LLD) leadBatch(bat *gcBatch) error {
 		if e.written {
 			continue // a failed sync left it written; only re-sync
 		}
-		var t0 time.Duration
-		if d.obs != nil {
-			t0 = d.obs.Now()
-		}
-		if err := d.dev.WriteAt(e.img, e.off); err != nil {
-			ioErr = fmt.Errorf("lld: writing segment %d: %w", e.idx, err)
+		if ioErr = d.writeSegment(e.idx, e.seq, e.ext, &bt); ioErr != nil {
 			break
 		}
 		e.written = true
-		d.stats.SegmentsWritten.Add(1)
-		if d.obs != nil {
-			now := d.obs.Now()
-			d.obs.Observe(obs.HistSegFlush, now-t0)
-			d.obs.Emit(obs.EvSegFlush, 0, uint64(e.idx), e.seq)
-			if bt.span != 0 {
-				d.obs.EmitSpan(obs.Span{
-					Trace: bt.trace, ID: d.obs.NextID(), Parent: bt.span,
-					Kind: obs.SpanSegFlush, Start: t0, Dur: now - t0,
-					Arg1: uint64(e.idx), Arg2: e.seq,
-				})
-			}
-		}
 	}
 	synced := false
 	if ioErr == nil && !d.params.UnsafeNoSyncOnFlush && !d.params.UnsafeAckBeforeSync {
@@ -290,8 +272,8 @@ func (d *LLD) sealBatchLocked() error {
 	e.idx = d.curSeg
 	e.seq = d.nextSeq
 	e.bld = d.builder
-	e.img = d.builder.Seal(d.nextSeq)
-	e.off = d.params.Layout.SegOff(d.curSeg)
+	e.ext = d.builder.Seal(d.nextSeq)
+	e.img = d.builder.Image()
 	e.commits = commits
 	e.stamps = d.commitStamps
 	d.commitStamps = nil
@@ -421,19 +403,10 @@ func (d *LLD) writeSealedLocked() error {
 		if e.written {
 			continue
 		}
-		var t0 time.Duration
-		if d.obs != nil {
-			t0 = d.obs.Now()
-		}
-		if err := d.dev.WriteAt(e.img, e.off); err != nil {
-			return fmt.Errorf("lld: writing segment %d: %w", e.idx, err)
+		if err := d.writeSegment(e.idx, e.seq, e.ext, nil); err != nil {
+			return err
 		}
 		e.written = true
-		d.stats.SegmentsWritten.Add(1)
-		if d.obs != nil {
-			d.obs.ObserveSince(obs.HistSegFlush, t0)
-			d.obs.Emit(obs.EvSegFlush, 0, uint64(e.idx), e.seq)
-		}
 	}
 	return nil
 }

@@ -212,6 +212,13 @@ type Params struct {
 	// the torn-delta bug the crash-state checker's `-inject
 	// torn-delta` knob must catch. Never set it in production.
 	UnsafeTornDeltaPublish bool
+	// UnsafeSkipDataCRC makes recovery trust the summary tail of a
+	// two-extent segment without checking its data extent against the
+	// trailer's data CRC, so a tail that landed while its data write
+	// was dropped or torn replays entries naming stale blocks — the
+	// split-tail bug the crash-state checker's `-inject split-tail`
+	// knob must catch. Never set it in production.
+	UnsafeSkipDataCRC bool
 	// RecoveryProbe is test instrumentation: Open invokes it once per
 	// mount, after the crash image's tables are rebuilt but before the
 	// first epoch publish. The crash-state checker uses it to assert
@@ -468,6 +475,11 @@ type LLD struct {
 	matScratch  []matItem
 	matSort     matSorter
 	gcWork      []*sealedSeg
+
+	// abortAllocs holds the blocks aborted units inserted (their own
+	// allocations among them), for the leak sweep after the next
+	// automatic checkpoint (sweepAborted).
+	abortAllocs []BlockID
 
 	// MVCC epoch state (snapshot.go, DESIGN.md §16). head is the only
 	// field lock-free readers load; everything else is guarded by mu

@@ -187,23 +187,13 @@ func (d *LLD) writeCurSeg() error {
 	if d.builder.Empty() {
 		return nil
 	}
-	var t0 time.Duration
-	if d.obs != nil {
-		t0 = d.obs.Now()
-	}
-	img := d.builder.Seal(d.nextSeq)
-	if err := d.dev.WriteAt(img, d.params.Layout.SegOff(d.curSeg)); err != nil {
-		return fmt.Errorf("lld: writing segment %d: %w", d.curSeg, err)
+	if err := d.writeSegment(d.curSeg, d.nextSeq, d.builder.Seal(d.nextSeq), nil); err != nil {
+		return err
 	}
 	d.devDirty = true
 	d.wgen++
-	if d.obs != nil {
-		d.obs.ObserveSince(obs.HistSegFlush, t0)
-		d.obs.Emit(obs.EvSegFlush, 0, uint64(d.curSeg), d.nextSeq)
-	}
 	d.segSeq[d.curSeg] = d.nextSeq
 	d.nextSeq++
-	d.stats.SegmentsWritten.Add(1)
 	d.segsSinceC++
 	d.durableTS = d.lastTS()
 	d.promote()
@@ -229,11 +219,45 @@ func (d *LLD) writeCurSeg() error {
 	return nil
 }
 
-// maybeMaintain runs background maintenance after a segment write:
-// automatic checkpoints and the cleaner. Both are skipped while an ARU
-// is open (a checkpoint taken with an open ARU could strand its earlier
-// log entries outside the replay window) and while the cleaner itself
-// is running.
+// writeSegment writes the extents of sealed segment idx (log sequence
+// number seq) to the device and records the seg-flush telemetry. It is
+// the one device-write path for segments: the serial seal, the
+// group-commit leader and the serial drain of leader-sealed segments
+// all go through it. bt, when it carries a batch span, parents the
+// seg-flush span on it.
+func (d *LLD) writeSegment(idx int, seq uint64, ext []seg.Extent, bt *batchTrace) error {
+	var t0 time.Duration
+	if d.obs != nil {
+		t0 = d.obs.Now()
+	}
+	off := d.params.Layout.SegOff(idx)
+	for _, x := range ext {
+		if err := d.dev.WriteAt(x.Data, off+int64(x.Off)); err != nil {
+			return fmt.Errorf("lld: writing segment %d: %w", idx, err)
+		}
+	}
+	d.stats.SegmentsWritten.Add(1)
+	if d.obs != nil {
+		now := d.obs.Now()
+		d.obs.Observe(obs.HistSegFlush, now-t0)
+		d.obs.Emit(obs.EvSegFlush, 0, uint64(idx), seq)
+		if bt != nil && bt.span != 0 {
+			d.obs.EmitSpan(obs.Span{
+				Trace: bt.trace, ID: d.obs.NextID(), Parent: bt.span,
+				Kind: obs.SpanSegFlush, Start: t0, Dur: now - t0,
+				Arg1: uint64(idx), Arg2: seq,
+			})
+		}
+	}
+	return nil
+}
+
+// maybeMaintain runs background maintenance after a segment write or a
+// commit: automatic checkpoints, the cleaner, and — once either of
+// them checkpointed — the sweep of aborted units' allocations. All are
+// skipped while an ARU is open (a checkpoint taken with an open ARU
+// could strand its earlier log entries outside the replay window) and
+// while the cleaner itself is running.
 func (d *LLD) maybeMaintain() {
 	if d.inClean || len(d.arus) != 0 {
 		return
@@ -245,6 +269,7 @@ func (d *LLD) maybeMaintain() {
 		// the queue empty.
 		return
 	}
+	ckpts := d.stats.Checkpoints.Load()
 	if d.params.CheckpointEvery > 0 && d.segsSinceC >= d.params.CheckpointEvery {
 		if err := d.checkpointLocked(); err != nil {
 			return // non-fatal: retried after the next segment write
@@ -252,6 +277,35 @@ func (d *LLD) maybeMaintain() {
 	}
 	if d.reusableCount() < d.params.CleanerLowWater {
 		d.cleanLocked(d.params.CleanerTargetFree)
+	}
+	if len(d.abortAllocs) != 0 && d.stats.Checkpoints.Load() != ckpts {
+		d.sweepAborted()
+	}
+}
+
+// sweepAborted is the consistency check of paper §3.3 restricted to
+// the blocks aborted units inserted: each one still on no list in the
+// committed state is a leak, and is freed. It runs after every
+// checkpoint the engine takes on its own (automatic or cleaner), where
+// no unit is open to claim a block, so each checkpoint carries only
+// the leaks of units aborted since the previous one: a workload that
+// aborts does not grow the tables — and with them every base
+// checkpoint, the heap and the next mount's sweep — for as long as the
+// disk stays mounted. Until then a leak stays visible, as the paper
+// describes. A failed free is retried next time.
+func (d *LLD) sweepAborted() {
+	ids := d.abortAllocs
+	d.abortAllocs = nil
+	m := mode{view: seg.SimpleARU, tag: seg.SimpleARU}
+	for i, id := range ids {
+		if rec, ok := d.viewBlock(id, seg.SimpleARU); !ok || rec.List != NilList {
+			continue // freed already, or committed onto a list since
+		}
+		if err := d.deleteBlockIn(m, id, true); err != nil {
+			d.abortAllocs = append(d.abortAllocs, ids[i:]...)
+			return
+		}
+		d.stats.LeakedBlocksFreed.Add(1)
 	}
 }
 

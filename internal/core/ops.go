@@ -51,53 +51,6 @@ func (d *LLD) read(aru ARUID, b BlockID, dst []byte) error {
 	return s.readBlock(view, b, dst)
 }
 
-// readView copies the contents of b, as seen from the given state, into
-// dst: from the version's in-memory buffer, from the log, or all-zero
-// for an allocated-but-unwritten block.
-func (d *LLD) readView(b BlockID, view ARUID, dst []byte) error {
-	e, ok := d.blocks[b]
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrNoSuchBlock, b)
-	}
-	readAlt := func(ab *altBlock) error {
-		if ab.data != nil {
-			copy(dst, ab.data)
-			return nil
-		}
-		if ab.rec.HasData {
-			return d.readPhys(ab.rec.Seg, ab.rec.Slot, dst)
-		}
-		for i := range dst {
-			dst[i] = 0
-		}
-		return nil
-	}
-	if view != seg.SimpleARU {
-		if ab := e.findAlt(view); ab != nil {
-			if ab.deleted {
-				return fmt.Errorf("%w: %d", ErrNoSuchBlock, b)
-			}
-			return readAlt(ab)
-		}
-	}
-	if ab := e.findAlt(seg.SimpleARU); ab != nil {
-		if ab.deleted {
-			return fmt.Errorf("%w: %d", ErrNoSuchBlock, b)
-		}
-		return readAlt(ab)
-	}
-	if p := e.persist; p != nil {
-		if p.HasData {
-			return d.readPhys(p.Seg, p.Slot, dst)
-		}
-		for i := range dst {
-			dst[i] = 0
-		}
-		return nil
-	}
-	return fmt.Errorf("%w: %d", ErrNoSuchBlock, b)
-}
-
 // Write replaces the contents of block b with data (one block exactly).
 // Inside an ARU the write creates/updates the ARU's shadow version; the
 // data itself is appended to the log immediately (tagged with the ARU),

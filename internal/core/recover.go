@@ -14,7 +14,8 @@ import (
 )
 
 // Format initializes dev with the layout in p and returns a fresh LLD.
-// It writes the superblock and an empty initial checkpoint; existing
+// It writes the superblock, an empty initial checkpoint in region 0
+// and zeroes over the rest of both checkpoint regions; existing
 // contents are ignored.
 func Format(dev disk.Disk, p Params) (*LLD, error) {
 	p = p.withDefaults()
@@ -32,13 +33,18 @@ func Format(dev disk.Disk, p Params) (*LLD, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := dev.WriteAt(buf, p.Layout.CkptOff(0)); err != nil {
+	// Both regions are written whole. Region 1 must not hold a stale
+	// checkpoint that could win; region 0 must not hold the previous
+	// lifetime's delta records behind the fresh base — the first of
+	// them names PrevTS 1, the fresh base's CkptTS, so the chain
+	// decoder would splice the old tables back onto the new disk.
+	region := make([]byte, p.Layout.CkptRegionBytes())
+	copy(region, buf)
+	if err := dev.WriteAt(region, p.Layout.CkptOff(0)); err != nil {
 		return nil, fmt.Errorf("lld: writing initial checkpoint: %w", err)
 	}
-	// Invalidate region 1 so a stale checkpoint from a previous format
-	// cannot win.
-	empty := make([]byte, seg.SectorSize)
-	if err := dev.WriteAt(empty, p.Layout.CkptOff(1)); err != nil {
+	clear(region)
+	if err := dev.WriteAt(region, p.Layout.CkptOff(1)); err != nil {
 		return nil, fmt.Errorf("lld: clearing checkpoint region: %w", err)
 	}
 	// Wipe every segment trailer so images reused across formats do not
@@ -80,6 +86,11 @@ type RecoveryReport struct {
 	InDoubtCommitted int    // in-doubt units the resolver redid
 	InDoubtAborted   int    // in-doubt units erased (presumed abort)
 	MaxPrepareTxn    uint64 // highest coordinator txn id seen in any prepare record
+
+	// DataHoleSeg is the window segment whose data extent failed its
+	// CRC — a summary tail that landed without its data — where replay
+	// was cut; -1 if none did.
+	DataHoleSeg int
 }
 
 // Open mounts an LLD-formatted device, running crash recovery: it loads
@@ -156,7 +167,7 @@ func OpenReport(dev disk.Disk, p Params) (*LLD, RecoveryReport, error) {
 	d.nextARU = ck.NextARU
 
 	rt := newRecoveryTables(ck)
-	rpt := RecoveryReport{CheckpointTS: ck.CkptTS, DeltaChainDepth: chain.Depth()}
+	rpt := RecoveryReport{CheckpointTS: ck.CkptTS, DeltaChainDepth: chain.Depth(), DataHoleSeg: -1}
 	for _, r := range chain.Recs[1:] {
 		rpt.DeltaPagesReplayed += len(r.Blocks) + len(r.Lists) + len(r.DelBlocks) + len(r.DelLists)
 	}
@@ -259,6 +270,7 @@ func OpenReport(dev disk.Disk, p Params) (*LLD, RecoveryReport, error) {
 		entries []seg.Entry
 		readErr error
 		corrupt bool
+		hole    bool // two-extent segment whose data extent failed its CRC
 	}
 	scans := make([]segScan, len(replay))
 	ready := make([]chan struct{}, len(replay))
@@ -278,8 +290,33 @@ func OpenReport(dev disk.Disk, p Params) (*LLD, RecoveryReport, error) {
 					return
 				}
 				ls := replay[i]
-				if err := dev.ReadAt(buf, layout.SegOff(ls.idx)); err != nil {
+				// Read only what the seal wrote: the summary tail, plus
+				// the data prefix of a two-extent segment (its CRC is
+				// the proof that the data write landed with the tail).
+				// Replay needs no block contents, so a segment written
+				// whole costs one tail read.
+				off := layout.SegOff(ls.idx)
+				tail := layout.TailOff(int(ls.tr.EntryBytes))
+				dataLen := int(ls.tr.DataBlocks) * layout.BlockSize
+				if tail < dataLen {
+					scans[i].corrupt = true // a valid trailer never says so
+					close(ready[i])
+					continue
+				}
+				checkData := ls.tr.Split(layout) && !p.UnsafeSkipDataCRC
+				err := dev.ReadAt(buf[tail:], off+int64(tail))
+				if err == nil && checkData && dataLen > 0 {
+					err = dev.ReadAt(buf[:dataLen], off)
+				}
+				if err != nil {
 					scans[i].readErr = fmt.Errorf("lld: reading segment %d: %w", ls.idx, err)
+					close(ready[i])
+					continue
+				}
+				if checkData && ls.tr.VerifyData(layout, buf) != nil {
+					// The tail landed without its data: an un-synced
+					// hole, cut exactly like a seq gap.
+					scans[i].hole = true
 					close(ready[i])
 					continue
 				}
@@ -318,9 +355,12 @@ func OpenReport(dev disk.Disk, p Params) (*LLD, RecoveryReport, error) {
 			scanErr = scans[i].readErr
 			break
 		}
-		if scans[i].corrupt {
+		if scans[i].corrupt || scans[i].hole {
 			// Stop replaying here; later segments would be causally
 			// disconnected.
+			if scans[i].hole {
+				rpt.DataHoleSeg = ls.idx
+			}
 			droppedTail = true
 			applied = i
 			break
@@ -485,9 +525,10 @@ func loadNewestChain(dev disk.Disk, layout seg.Layout) (seg.CkptChain, int, erro
 		best       seg.CkptChain
 		bestRegion = -1
 	)
-	buf := make([]byte, layout.CkptRegionBytes())
+	var buf []byte
 	for i := 0; i < 2; i++ {
-		if err := dev.ReadAt(buf, layout.CkptOff(i)); err != nil {
+		var err error
+		if buf, err = readChain(dev, layout, i, buf); err != nil {
 			return seg.CkptChain{}, 0, fmt.Errorf("lld: reading checkpoint region %d: %w", i, err)
 		}
 		c, err := seg.DecodeCkptChain(buf)
@@ -505,6 +546,44 @@ func loadNewestChain(dev disk.Disk, layout seg.Layout) (seg.CkptChain, int, erro
 		return seg.CkptChain{}, 0, fmt.Errorf("%w: no valid checkpoint region", seg.ErrBadCheckpoint)
 	}
 	return best, bestRegion, nil
+}
+
+// readChain reads checkpoint region i into buf up to the end of its
+// chain: each record's header sector names the record's length, so a
+// mount reads the records and the one header that ends the chain, not
+// the whole region (megabytes on a large layout, mostly unused). A
+// region that does not start with a chain record (a legacy v1 snapshot,
+// or garbage) is read whole.
+func readChain(dev disk.Disk, layout seg.Layout, i int, buf []byte) ([]byte, error) {
+	size, base := layout.CkptRegionBytes(), layout.CkptOff(i)
+	read := func(from, to int64) error {
+		if int64(cap(buf)) < to {
+			buf = append(buf[:cap(buf)], make([]byte, to-int64(cap(buf)))...)
+		}
+		buf = buf[:to]
+		return dev.ReadAt(buf[from:to], base+from)
+	}
+	var end int64
+	for end+seg.SectorSize <= size {
+		if err := read(end, end+seg.SectorSize); err != nil {
+			return nil, err
+		}
+		n, ok := seg.CkptRecLen(buf[end:])
+		if !ok || end+n > size {
+			if end == 0 {
+				err := read(0, size)
+				return buf, err
+			}
+			break
+		}
+		if n > seg.SectorSize {
+			if err := read(end+seg.SectorSize, end+n); err != nil {
+				return nil, err
+			}
+		}
+		end += n
+	}
+	return buf, nil
 }
 
 // recoveryTables reconstructs the persistent state from a checkpoint

@@ -616,8 +616,9 @@ func (s *snapshot) readBlock(view ARUID, b BlockID, dst []byte) error {
 	}
 }
 
-// readView is the snapshot analogue of LLD.readView: shadow version of
-// the view, else committed, else persistent.
+// readView reads b as the given state sees it (the paper's option 3):
+// the view's shadow version, else the committed version, else the
+// persistent one.
 func (s *snapshot) readView(b BlockID, view ARUID, dst []byte) error {
 	v := pmapGet(s.blocks, uint64(b))
 	if v == nil {
@@ -648,9 +649,10 @@ func (s *snapshot) readView(b BlockID, view ARUID, dst []byte) error {
 	return fmt.Errorf("%w: %d", ErrNoSuchBlock, b)
 }
 
-// readAny is the snapshot analogue of LLD.readAnyShadow: the newest
-// live alternative by write timestamp across every state, falling back
-// to persistent.
+// readAny reads the most recent version of b across every state (the
+// paper's option 1, "any update is visible to all disk system clients
+// right away"): the newest live alternative by write timestamp,
+// falling back to persistent.
 func (s *snapshot) readAny(b BlockID, dst []byte) error {
 	v := pmapGet(s.blocks, uint64(b))
 	if v == nil {

@@ -28,18 +28,27 @@ func TestMain(m *testing.M) {
 // commitFill commits one ARU overwriting every block with fill(d, v).
 func commitFill(t *testing.T, d *LLD, blocks []BlockID, v byte) {
 	t.Helper()
+	if err := tryCommitFill(d, blocks, v); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// tryCommitFill is commitFill returning its error, for goroutines other
+// than the test's own (which must not call t.Fatal).
+func tryCommitFill(d *LLD, blocks []BlockID, v byte) error {
 	a, err := d.BeginARU()
 	if err != nil {
-		t.Fatalf("BeginARU: %v", err)
+		return fmt.Errorf("BeginARU: %w", err)
 	}
 	for _, b := range blocks {
 		if err := d.Write(a, b, fill(d, v)); err != nil {
-			t.Fatalf("Write: %v", err)
+			return fmt.Errorf("Write: %w", err)
 		}
 	}
 	if err := d.EndARU(a); err != nil {
-		t.Fatalf("EndARU: %v", err)
+		return fmt.Errorf("EndARU: %w", err)
 	}
+	return nil
 }
 
 // snapChainLen counts the published epochs still alive, oldest epoch
@@ -84,7 +93,10 @@ func TestSnapshotRefcountNeverNegative(t *testing.T) {
 				return
 			default:
 			}
-			commitFill(t, d, blocks, v)
+			if err := tryCommitFill(d, blocks, v); err != nil {
+				t.Error(err)
+				return
+			}
 		}
 	}()
 	for g := 0; g < 8; g++ {

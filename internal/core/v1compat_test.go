@@ -179,6 +179,7 @@ func TestV1ImageCompat(t *testing.T) {
 	// legacy single-record chain.
 	l := p.Layout
 	legacy := 0
+	var newest uint64
 	for i := 0; i < 2; i++ {
 		off := l.CkptOff(i)
 		ch, err := seg.DecodeCkptChain(img[off : off+l.CkptRegionBytes()])
@@ -189,6 +190,7 @@ func TestV1ImageCompat(t *testing.T) {
 			t.Fatalf("fixture region %d is not legacy v1", i)
 		}
 		legacy++
+		newest = max(newest, ch.Head().CkptTS)
 	}
 	if legacy == 0 {
 		t.Fatal("fixture has no valid checkpoint region")
@@ -216,6 +218,9 @@ func TestV1ImageCompat(t *testing.T) {
 	}()
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("legacy image recovered to a different state: got %d lists, want %d", len(got), len(want))
+	}
+	if rpt.CheckpointTS != newest {
+		t.Fatalf("recovery started from checkpoint ts %d, want the newest legacy snapshot's %d", rpt.CheckpointTS, newest)
 	}
 	if rpt.SegmentsReplayed == 0 {
 		t.Fatal("recovery replayed no segments (log tail lost?)")

@@ -214,14 +214,32 @@ func TestRecoverCrashClean(t *testing.T) {
 // the shrunk artifact must reproduce, and the same state must be clean
 // on the real engine.
 func TestTornDeltaCaught(t *testing.T) {
-	o := Options{Seed: 1, Seeds: 8, Mixed: true, Inject: "torn-delta",
+	requireCaught(t, "torn-delta")
+}
+
+// TestSplitTailCaught validates the oracle against recovery that trusts
+// a two-extent segment's summary tail without its data CRC
+// (Params.UnsafeSkipDataCRC): the enumerator must find a crash state
+// where the tail landed but the data write was dropped or torn, the
+// shrunk artifact must reproduce, and the same state must be clean on
+// the real engine — the data CRC is what makes it so.
+func TestSplitTailCaught(t *testing.T) {
+	requireCaught(t, "split-tail")
+}
+
+// requireCaught runs the mixed workload with a deliberate engine bug
+// and requires a violation whose shrunk artifact reproduces under the
+// bug and is clean on the real engine.
+func requireCaught(t *testing.T, inject string) {
+	t.Helper()
+	o := Options{Seed: 1, Seeds: 8, Mixed: true, Inject: inject,
 		MaxViolationsPerRun: 1}
 	rpt, err := Run(o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rpt.Violations) == 0 {
-		t.Fatalf("torn-delta bug not caught in %d states", rpt.States)
+		t.Fatalf("%s bug not caught in %d states", inject, rpt.States)
 	}
 	v := rpt.Violations[0]
 	viols, err := Replay(v.Workload, v.Seed, o, v.Shrunk)

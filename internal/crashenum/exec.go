@@ -26,8 +26,8 @@ func checkerLayout() seg.Layout {
 
 // checkerParams returns the engine configuration for a checker run.
 // inject selects a deliberate bug ("nosync", "untagged-replay",
-// "ack-early", "torn-delta") used to validate that the oracle actually
-// catches violations.
+// "ack-early", "torn-delta", "split-tail") used to validate that the
+// oracle actually catches violations.
 //
 // CkptCompactEvery is pinned low so every run exercises the whole
 // incremental-checkpoint life cycle — delta appends, chain replay, and
@@ -61,6 +61,12 @@ func checkerParams(inject string) (core.Params, error) {
 		// within the workload.
 		p.UnsafeTornDeltaPublish = true
 		p.Layout.NumSegs = 18
+	case "split-tail":
+		// The broken recovery rule: the summary tail of a two-extent
+		// segment is trusted without its data CRC, so a crash that
+		// keeps the tail but drops or tears the data write replays
+		// entries naming stale block contents.
+		p.UnsafeSkipDataCRC = true
 	default:
 		return core.Params{}, fmt.Errorf("crashenum: unknown injection %q", inject)
 	}

@@ -87,8 +87,11 @@ func sweepVariant(t *testing.T, variant core.Variant, policy DeletePolicy, workl
 }
 
 // TestCrashSweepRemove: files are created (durably), then removed with
-// interspersed syncs; at any crash point each file is either fully
-// present with intact contents or fully gone.
+// interspersed syncs; at any crash point after the creating sync each
+// file is either fully present with intact contents or fully gone.
+// A crash before that sync returned may also keep a file's create
+// without its write (two units, neither yet durable): the file is then
+// present and empty.
 func TestCrashSweepRemove(t *testing.T) {
 	for _, pol := range []DeletePolicy{DeleteBlocksFirst, DeleteListFirst} {
 		t.Run(pol.String(), func(t *testing.T) {
@@ -96,7 +99,9 @@ func TestCrashSweepRemove(t *testing.T) {
 			body := func(i int) []byte {
 				return bytes.Repeat([]byte{byte(0x30 + i)}, 700+i*300)
 			}
+			created := false // the creating sync returned before the crash
 			workload := func(fs *FS) error {
+				created = false
 				for i := 0; i < files; i++ {
 					f, err := fs.Create(fmt.Sprintf("/f%d", i))
 					if err != nil {
@@ -109,6 +114,7 @@ func TestCrashSweepRemove(t *testing.T) {
 				if err := fs.Sync(); err != nil {
 					return err
 				}
+				created = true
 				for i := 0; i < files; i++ {
 					if err := fs.Remove(fmt.Sprintf("/f%d", i)); err != nil {
 						return err
@@ -133,6 +139,9 @@ func TestCrashSweepRemove(t *testing.T) {
 					got, err := f.ReadAll()
 					if err != nil {
 						t.Fatalf("crash %d: read f%d: %v", crash, i, err)
+					}
+					if len(got) == 0 && !created {
+						continue // create durable, write not
 					}
 					if !bytes.Equal(got, body(i)) {
 						t.Fatalf("crash %d: f%d has partial contents (%d bytes)", crash, i, len(got))

@@ -162,20 +162,11 @@ func EncodeCkptRec(l Layout, r CkptRec) ([]byte, error) {
 // buf, returning the record and its sector-rounded wire length (the
 // offset of the next record in the chain).
 func DecodeCkptRec(buf []byte) (CkptRec, int64, error) {
-	if len(buf) < ckptRecHeaderBytes {
-		return CkptRec{}, 0, fmt.Errorf("%w: short buffer", ErrBadCheckpoint)
+	nb, nl, ndb, ndl, err := ckptRecHeader(buf)
+	if err != nil {
+		return CkptRec{}, 0, err
 	}
 	h := buf[:ckptRecHeaderBytes]
-	if binary.LittleEndian.Uint32(h[0:]) != ckptChainMagic {
-		return CkptRec{}, 0, fmt.Errorf("%w: bad chain magic", ErrBadCheckpoint)
-	}
-	if got, want := binary.LittleEndian.Uint32(h[84:]), crc32.Checksum(h[:84], crcTable); got != want {
-		return CkptRec{}, 0, fmt.Errorf("%w: bad chain header checksum", ErrBadCheckpoint)
-	}
-	nb := int64(binary.LittleEndian.Uint32(h[64:]))
-	nl := int64(binary.LittleEndian.Uint32(h[68:]))
-	ndb := int64(binary.LittleEndian.Uint32(h[72:]))
-	ndl := int64(binary.LittleEndian.Uint32(h[76:]))
 	payloadLen := nb*ckptBlockRecBytes + nl*ckptListRecV2Bytes + (ndb+ndl)*8
 	if int64(ckptRecHeaderBytes)+payloadLen > int64(len(buf)) {
 		return CkptRec{}, 0, fmt.Errorf("%w: chain payload does not fit (%d blocks, %d lists, %d+%d deletions)",
@@ -250,6 +241,37 @@ func (c CkptChain) Head() CkptRec {
 // Depth returns the number of delta records on top of the base.
 func (c CkptChain) Depth() int {
 	return len(c.Recs) - 1
+}
+
+// CkptRecLen returns the sector-rounded wire length of the chain record
+// whose header starts hdr (at least one sector), or false if hdr is not
+// a valid chain-record header. It lets a reader fetch a region's chain
+// record by record instead of the whole, mostly unused, region.
+func CkptRecLen(hdr []byte) (int64, bool) {
+	nb, nl, ndb, ndl, err := ckptRecHeader(hdr)
+	if err != nil {
+		return 0, false
+	}
+	n := int64(ckptRecHeaderBytes) + nb*ckptBlockRecBytes + nl*ckptListRecV2Bytes + (ndb+ndl)*8
+	return roundUp(n, SectorSize), true
+}
+
+// ckptRecHeader validates the header of the chain record at the start
+// of buf and returns its block, list, block-deletion and list-deletion
+// counts.
+func ckptRecHeader(buf []byte) (nb, nl, ndb, ndl int64, err error) {
+	if len(buf) < ckptRecHeaderBytes {
+		return 0, 0, 0, 0, fmt.Errorf("%w: short buffer", ErrBadCheckpoint)
+	}
+	h := buf[:ckptRecHeaderBytes]
+	if binary.LittleEndian.Uint32(h[0:]) != ckptChainMagic {
+		return 0, 0, 0, 0, fmt.Errorf("%w: bad chain magic", ErrBadCheckpoint)
+	}
+	if got, want := binary.LittleEndian.Uint32(h[84:]), crc32.Checksum(h[:84], crcTable); got != want {
+		return 0, 0, 0, 0, fmt.Errorf("%w: bad chain header checksum", ErrBadCheckpoint)
+	}
+	return int64(binary.LittleEndian.Uint32(h[64:])), int64(binary.LittleEndian.Uint32(h[68:])),
+		int64(binary.LittleEndian.Uint32(h[72:])), int64(binary.LittleEndian.Uint32(h[76:])), nil
 }
 
 // DecodeCkptChain decodes one checkpoint region as a chain: a v2 base

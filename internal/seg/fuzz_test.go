@@ -116,3 +116,59 @@ func FuzzSuperDecode(f *testing.F) {
 		}
 	})
 }
+
+// FuzzTrailerDecode feeds arbitrary bytes — seeded from real version-2
+// trailers (one- and two-extent segments) and a legacy version-1
+// trailer — to DecodeTrailer. The decoder must never panic, and
+// anything it accepts must re-encode (as version 2) to the same fields.
+func FuzzTrailerDecode(f *testing.F) {
+	l := fuzzLayout()
+	b := NewBuilder(l)
+	b.AddBlock(make([]byte, l.BlockSize))
+	b.AddEntry(Entry{Kind: KindWrite, TS: 1, Block: 1})
+	b.AddEntry(Entry{Kind: KindCommit, ARU: 1, TS: 2})
+	b.Seal(3)
+	split := append([]byte(nil), b.Image()[l.SegBytes-SectorSize:]...)
+	for b.Fits(1, 1) {
+		slot := b.AddBlock(make([]byte, l.BlockSize))
+		b.AddEntry(Entry{Kind: KindWrite, TS: uint64(slot) + 3, Block: 2, Slot: slot})
+	}
+	b.Seal(4)
+	whole := append([]byte(nil), b.Image()[l.SegBytes-SectorSize:]...)
+	tr, err := DecodeTrailer(split)
+	if err != nil {
+		f.Fatal(err)
+	}
+	legacy := make([]byte, SectorSize)
+	encodeTrailerV1(legacy, tr)
+	for _, sec := range [][]byte{split, whole, legacy} {
+		f.Add(sec)
+		for _, pos := range []int{0, 4, 12, 20, 28, 32} {
+			mut := append([]byte(nil), sec...)
+			mut[pos] ^= 0xff
+			f.Add(mut)
+		}
+		f.Add(sec[:trailerBytesV1])
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, err := DecodeTrailer(data)
+		if err != nil {
+			return
+		}
+		if tr.Version != 1 && tr.Version != 2 {
+			t.Fatalf("accepted trailer with version %d", tr.Version)
+		}
+		_ = tr.Extents(l)
+		_ = tr.VerifyData(l, make([]byte, l.SegBytes))
+		img := make([]byte, SectorSize)
+		encodeTrailer(img, tr)
+		tr2, err := DecodeTrailer(img)
+		if err != nil {
+			t.Fatalf("re-encoded trailer does not decode: %v", err)
+		}
+		tr.Version = 2
+		if tr != tr2 {
+			t.Fatalf("round trip unstable:\n first %+v\nsecond %+v", tr, tr2)
+		}
+	})
+}

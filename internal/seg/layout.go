@@ -15,8 +15,11 @@ const SectorSize = 512
 // Magic numbers for the on-disk structures.
 const (
 	superMagic   = 0x4c4c4453 // "LLDS"
-	trailerMagic = 0x4c4c4454 // "LLDT"
-	ckptMagic    = 0x4c4c4443 // "LLDC"
+	trailerMagic = 0x4c4c4454 // "LLDT", legacy version-1 segment trailer
+	// trailerMagicV2 marks the version-2 trailer, which adds the data
+	// CRC of a two-extent segment.
+	trailerMagicV2 = 0x4c4c4432 // "LLD2"
+	ckptMagic      = 0x4c4c4443 // "LLDC"
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)

@@ -28,9 +28,9 @@ func TestDecodersNeverPanicOnGarbage(t *testing.T) {
 }
 
 // TestBitFlippedSegmentNeverDecodesSilently flips one random bit in a
-// valid segment image; either the trailer or the entry checksum must
-// catch it (or the flip landed in dead padding/data, which recovery
-// verifies separately at the block level).
+// valid segment image; the trailer, entry or (for this two-extent
+// segment) data checksum must catch it, or the flip landed in dead
+// padding.
 func TestBitFlippedSegmentNeverDecodesSilently(t *testing.T) {
 	l := testLayout()
 	build := func() []byte {
@@ -40,7 +40,8 @@ func TestBitFlippedSegmentNeverDecodesSilently(t *testing.T) {
 			b.AddEntry(Entry{Kind: KindCommit, ARU: ARUID(i + 1), TS: uint64(i + 1)})
 		}
 		img := make([]byte, l.SegBytes)
-		copy(img, b.Seal(5))
+		b.Seal(5)
+		copy(img, b.Image())
 		return img
 	}
 	pristine := build()
@@ -69,8 +70,14 @@ func TestBitFlippedSegmentNeverDecodesSilently(t *testing.T) {
 			continue // entry checksum caught it
 		}
 		// Decoded fine: the flip must have been outside the protected
-		// regions (data area or padding), and the entries identical.
+		// regions (data extent or padding), and the entries identical.
 		pos := bit / 8
+		if err := tr2.VerifyData(l, img); err != nil {
+			continue // data checksum caught it
+		}
+		if pos < l.BlockSize {
+			t.Fatalf("trial %d: flip inside data extent verified silently", trial)
+		}
 		if pos >= entOff && pos < entOff+entLen {
 			t.Fatalf("trial %d: flip inside entry region decoded silently", trial)
 		}

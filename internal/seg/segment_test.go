@@ -93,7 +93,8 @@ func TestBuilderSealParseRoundTrip(t *testing.T) {
 	for _, e := range entries {
 		b.AddEntry(e)
 	}
-	img := b.Seal(42)
+	b.Seal(42)
+	img := b.Image()
 	if len(img) != l.SegBytes {
 		t.Fatalf("sealed image is %d bytes, want %d", len(img), l.SegBytes)
 	}
@@ -125,7 +126,8 @@ func TestTornSegmentInvalid(t *testing.T) {
 	l := testLayout()
 	b := NewBuilder(l)
 	b.AddEntry(Entry{Kind: KindCommit, ARU: 1, TS: 1})
-	img := append([]byte(nil), b.Seal(7)...)
+	b.Seal(7)
+	img := append([]byte(nil), b.Image()...)
 
 	// A torn write that loses the trailing sector must invalidate the
 	// whole segment.
@@ -174,7 +176,8 @@ func TestBuilderCapacity(t *testing.T) {
 	if count < 300 {
 		t.Fatalf("only %d commit records fit; expected hundreds", count)
 	}
-	img := b2.Seal(1)
+	b2.Seal(1)
+	img := b2.Image()
 	tr, err := DecodeTrailer(img)
 	if err != nil {
 		t.Fatal(err)
@@ -196,7 +199,8 @@ func TestBuilderReset(t *testing.T) {
 	if !b.Empty() || b.DataBlocks() != 0 || b.EntryCount() != 0 {
 		t.Fatal("reset builder not empty")
 	}
-	img := b.Seal(9)
+	b.Seal(9)
+	img := b.Image()
 	for _, x := range img[:l.BlockSize] {
 		if x != 0 {
 			t.Fatal("stale data survived Reset")
@@ -237,7 +241,8 @@ func TestQuickSegmentRoundTrip(t *testing.T) {
 			entries = append(entries, e)
 			b.AddEntry(e)
 		}
-		img := b.Seal(uint64(seed))
+		b.Seal(uint64(seed))
+		img := b.Image()
 		tr, err := DecodeTrailer(img)
 		if err != nil || int(tr.DataBlocks) != nblocks {
 			return false

@@ -29,11 +29,21 @@ func newTestManager(t *testing.T) (*Manager, *core.LLD, *disk.Sim) {
 }
 
 // account helpers: one block per account, balance in the first 8 bytes.
-func putBalance(t *testing.T, tx *Txn, b core.BlockID, v uint64, bsize int) {
-	t.Helper()
+//
+// writeBalance returns the Write error instead of failing the test:
+// under wait-die a Write may return the retryable ErrAborted, which a
+// Run closure must hand back to Manager.Run for the retry. Worker
+// goroutines use it directly (t.Fatal is only legal on the test's own
+// goroutine); putBalance is the single-goroutine shorthand.
+func writeBalance(tx *Txn, b core.BlockID, v uint64, bsize int) error {
 	buf := make([]byte, bsize)
 	binary.LittleEndian.PutUint64(buf, v)
-	if err := tx.Write(b, buf); err != nil {
+	return tx.Write(b, buf)
+}
+
+func putBalance(t *testing.T, tx *Txn, b core.BlockID, v uint64, bsize int) {
+	t.Helper()
+	if err := writeBalance(tx, b, v, bsize); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -152,9 +162,10 @@ func TestBankConservation(t *testing.T) {
 					if fv < amount {
 						return nil // insufficient funds: no-op
 					}
-					putBalance(t, tx, from, fv-amount, bs)
-					putBalance(t, tx, to, tv+amount, bs)
-					return nil
+					if err := writeBalance(tx, from, fv-amount, bs); err != nil {
+						return err
+					}
+					return writeBalance(tx, to, tv+amount, bs)
 				})
 				if err != nil {
 					errCh <- fmt.Errorf("worker %d transfer %d: %w", w, i, err)
@@ -231,8 +242,7 @@ func TestLostUpdatePrevented(t *testing.T) {
 					if err != nil {
 						return err
 					}
-					putBalance(t, tx, ctr, v+1, bs)
-					return nil
+					return writeBalance(tx, ctr, v+1, bs)
 				})
 				if err != nil {
 					t.Error(err)
@@ -328,8 +338,7 @@ func TestWaitDieMakesProgress(t *testing.T) {
 					if err != nil {
 						return err
 					}
-					putBalance(t, tx, hot, v+1, bs)
-					return nil
+					return writeBalance(tx, hot, v+1, bs)
 				}); err != nil {
 					t.Error(err)
 					return
