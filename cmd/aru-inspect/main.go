@@ -116,22 +116,15 @@ func fatal(err error) {
 // trailer's data CRC (a mismatch inside the replay window is an
 // un-synced hole: recovery cuts the log there).
 func describeExtents(l seg.Layout, tr seg.Trailer, body []byte) string {
-	ext := tr.Extents(l)
-	s := fmt.Sprintf("%d extent", len(ext))
-	if len(ext) > 1 {
-		s += "s"
+	if !tr.Split(l) {
+		return fmt.Sprintf("1 extent [0,%d), written whole", l.SegBytes)
 	}
-	for i, x := range ext {
-		sep := " "
-		if i > 0 {
-			sep = "+"
-		}
-		s += fmt.Sprintf("%s[%d,%d)", sep, x[0], x[0]+x[1])
+	tail := fmt.Sprintf("[%d,%d)", l.TailOff(int(tr.EntryBytes)), l.SegBytes)
+	s := "1 extent " + tail
+	if dataLen := int(tr.DataBlocks) * l.BlockSize; dataLen > 0 {
+		s = fmt.Sprintf("2 extents [0,%d)+%s", dataLen, tail)
 	}
-	switch {
-	case !tr.Split(l):
-		return s + ", written whole"
-	case tr.VerifyData(l, body) != nil:
+	if tr.VerifyData(l, body) != nil {
 		return s + ", data crc MISMATCH"
 	}
 	return s + ", data crc ok"

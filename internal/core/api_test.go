@@ -453,11 +453,12 @@ func TestSegmentsAccounting(t *testing.T) {
 }
 
 // TestAbortedAllocsSwept: the blocks aborted units allocate are freed
-// after the engine's next automatic checkpoint, so a workload that
-// keeps aborting does not grow the block table until the next mount
-// (the leak the mount-time sweep would otherwise face whole).
+// by the next maintenance pass with no unit open (here each Flush's
+// segment write), so a workload that keeps aborting does not grow the
+// block table until the next mount (the leak the mount-time sweep
+// would otherwise face whole).
 func TestAbortedAllocsSwept(t *testing.T) {
-	d, _ := newTestLLD(t, Params{CheckpointEvery: 4})
+	d, _ := newTestLLD(t, Params{})
 	lst, _ := d.NewList(0)
 	data := make([]byte, d.BlockSize())
 	for i := 0; i < 400; i++ {
@@ -489,16 +490,15 @@ func TestAbortedAllocsSwept(t *testing.T) {
 			}
 		}
 	}
-	st := d.Stats()
-	if st.Checkpoints < 20 || st.LeakedBlocksFreed < 180 {
-		t.Fatalf("%d automatic checkpoints swept %d of the 200 aborted allocations", st.Checkpoints, st.LeakedBlocksFreed)
+	if st := d.Stats(); st.LeakedBlocksFreed != 200 {
+		t.Fatalf("maintenance swept %d of the 200 aborted allocations", st.LeakedBlocksFreed)
 	}
 	freed, err := d.CheckDisk()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := 200 - st.LeakedBlocksFreed; int64(freed) != want {
-		t.Fatalf("full sweep freed %d, want the %d aborted since the last checkpoint", freed, want)
+	if freed != 0 {
+		t.Fatalf("full sweep freed %d blocks maintenance left behind", freed)
 	}
 	if err := d.VerifyInternal(); err != nil {
 		t.Fatal(err)

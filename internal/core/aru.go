@@ -376,8 +376,8 @@ func (d *LLD) discardShadow(st *aruState) {
 // allocated remain allocated (allocation always happens in the
 // committed state) until a consistency check frees them, exactly as for
 // an ARU interrupted by a crash (paper §3.3): CheckDisk, the sweep at
-// mount, or the sweep of the unit's own blocks after the engine's next
-// automatic checkpoint (sweepAborted). The sequential variant cannot
+// mount, or the sweep of the unit's own blocks that maintenance runs
+// once no unit is open (maybeMaintain). The sequential variant cannot
 // abort, since it applies operations in place.
 func (d *LLD) AbortARU(aru ARUID) error {
 	d.mu.Lock()

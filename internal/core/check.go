@@ -44,23 +44,33 @@ func (d *LLD) checkLocked() (int, error) {
 		if claimed[id] {
 			continue
 		}
-		rec, ok := d.viewBlock(id, seg.SimpleARU)
-		if !ok {
-			continue // committed deletion pending promotion
-		}
-		if rec.List == NilList {
+		if rec, ok := d.viewBlock(id, seg.SimpleARU); ok && rec.List == NilList {
 			leaked = append(leaked, id)
 		}
 	}
 	sort.Slice(leaked, func(i, j int) bool { return leaked[i] < leaked[j] })
+	return d.freeLeaked(leaked)
+}
+
+// freeLeaked frees each block of ids that sits on no list in the
+// committed state — a leaked allocation (paper §3.3) — and returns how
+// many it freed. Callers pass only blocks no open ARU claims.
+func (d *LLD) freeLeaked(ids []BlockID) (int, error) {
 	m := mode{view: seg.SimpleARU, tag: seg.SimpleARU}
-	for _, id := range leaked {
-		if err := d.deleteBlockIn(m, id, true); err != nil {
-			return 0, fmt.Errorf("lld: consistency sweep of block %d: %w", id, err)
+	freed := 0
+	for _, id := range ids {
+		rec, ok := d.viewBlock(id, seg.SimpleARU)
+		if !ok || rec.List != NilList {
+			continue // freed already (deletion pending promotion), or on a list
 		}
+		if err := d.deleteBlockIn(m, id, true); err != nil {
+			d.stats.LeakedBlocksFreed.Add(int64(freed))
+			return freed, fmt.Errorf("lld: consistency sweep of block %d: %w", id, err)
+		}
+		freed++
 	}
-	d.stats.LeakedBlocksFreed.Add(int64(len(leaked)))
-	return len(leaked), nil
+	d.stats.LeakedBlocksFreed.Add(int64(freed))
+	return freed, nil
 }
 
 // FreeSegments returns the number of currently reusable log segments.

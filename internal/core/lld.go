@@ -477,8 +477,8 @@ type LLD struct {
 	gcWork      []*sealedSeg
 
 	// abortAllocs holds the blocks aborted units inserted (their own
-	// allocations among them), for the leak sweep after the next
-	// automatic checkpoint (sweepAborted).
+	// allocations among them), for the leak sweep maybeMaintain runs
+	// once no unit is open.
 	abortAllocs []BlockID
 
 	// MVCC epoch state (snapshot.go, DESIGN.md §16). head is the only

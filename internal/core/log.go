@@ -253,11 +253,11 @@ func (d *LLD) writeSegment(idx int, seq uint64, ext []seg.Extent, bt *batchTrace
 }
 
 // maybeMaintain runs background maintenance after a segment write or a
-// commit: automatic checkpoints, the cleaner, and — once either of
-// them checkpointed — the sweep of aborted units' allocations. All are
-// skipped while an ARU is open (a checkpoint taken with an open ARU
-// could strand its earlier log entries outside the replay window) and
-// while the cleaner itself is running.
+// commit: automatic checkpoints, the cleaner, and the sweep of aborted
+// units' allocations. All are skipped while an ARU is open (a
+// checkpoint taken with an open ARU could strand its earlier log
+// entries outside the replay window, and an open unit may claim a
+// block the sweep would free) and while the cleaner itself is running.
 func (d *LLD) maybeMaintain() {
 	if d.inClean || len(d.arus) != 0 {
 		return
@@ -269,7 +269,6 @@ func (d *LLD) maybeMaintain() {
 		// the queue empty.
 		return
 	}
-	ckpts := d.stats.Checkpoints.Load()
 	if d.params.CheckpointEvery > 0 && d.segsSinceC >= d.params.CheckpointEvery {
 		if err := d.checkpointLocked(); err != nil {
 			return // non-fatal: retried after the next segment write
@@ -278,34 +277,15 @@ func (d *LLD) maybeMaintain() {
 	if d.reusableCount() < d.params.CleanerLowWater {
 		d.cleanLocked(d.params.CleanerTargetFree)
 	}
-	if len(d.abortAllocs) != 0 && d.stats.Checkpoints.Load() != ckpts {
-		d.sweepAborted()
-	}
-}
-
-// sweepAborted is the consistency check of paper §3.3 restricted to
-// the blocks aborted units inserted: each one still on no list in the
-// committed state is a leak, and is freed. It runs after every
-// checkpoint the engine takes on its own (automatic or cleaner), where
-// no unit is open to claim a block, so each checkpoint carries only
-// the leaks of units aborted since the previous one: a workload that
-// aborts does not grow the tables — and with them every base
-// checkpoint, the heap and the next mount's sweep — for as long as the
-// disk stays mounted. Until then a leak stays visible, as the paper
-// describes. A failed free is retried next time.
-func (d *LLD) sweepAborted() {
-	ids := d.abortAllocs
-	d.abortAllocs = nil
-	m := mode{view: seg.SimpleARU, tag: seg.SimpleARU}
-	for i, id := range ids {
-		if rec, ok := d.viewBlock(id, seg.SimpleARU); !ok || rec.List != NilList {
-			continue // freed already, or committed onto a list since
+	if len(d.abortAllocs) != 0 {
+		// The consistency check of paper §3.3, restricted to the blocks
+		// aborted units inserted. Without it a workload that keeps
+		// aborting grows the tables — and with them every base
+		// checkpoint, the heap and the next mount's sweep — for as long
+		// as the disk stays mounted. A failed free is retried next time.
+		if _, err := d.freeLeaked(d.abortAllocs); err == nil {
+			d.abortAllocs = d.abortAllocs[:0]
 		}
-		if err := d.deleteBlockIn(m, id, true); err != nil {
-			d.abortAllocs = append(d.abortAllocs, ids[i:]...)
-			return
-		}
-		d.stats.LeakedBlocksFreed.Add(1)
 	}
 }
 

@@ -89,9 +89,11 @@ func sweepVariant(t *testing.T, variant core.Variant, policy DeletePolicy, workl
 // TestCrashSweepRemove: files are created (durably), then removed with
 // interspersed syncs; at any crash point after the creating sync each
 // file is either fully present with intact contents or fully gone.
-// A crash before that sync returned may also keep a file's create
-// without its write (two units, neither yet durable): the file is then
-// present and empty.
+// Before that sync returned, the create and the write of each file are
+// two units, so recovery keeps a prefix of them: files f0..f(h-1) full,
+// fh full or (create kept, write not) empty, every later file absent.
+// A state outside that prefix, e.g. an early file empty while a later
+// one is full, means recovery replayed a later unit without an earlier.
 func TestCrashSweepRemove(t *testing.T) {
 	for _, pol := range []DeletePolicy{DeleteBlocksFirst, DeleteListFirst} {
 		t.Run(pol.String(), func(t *testing.T) {
@@ -128,10 +130,11 @@ func TestCrashSweepRemove(t *testing.T) {
 				return fs.Sync()
 			}
 			sweep(t, pol, workload, func(t *testing.T, crash int64, fs *FS) {
+				contents := make([][]byte, files) // nil: file absent
 				for i := 0; i < files; i++ {
 					f, err := fs.Open(fmt.Sprintf("/f%d", i))
 					if errors.Is(err, ErrNotExist) {
-						continue // fully removed
+						continue // fully removed, or never created
 					}
 					if err != nil {
 						t.Fatalf("crash %d: open f%d: %v", crash, i, err)
@@ -140,10 +143,26 @@ func TestCrashSweepRemove(t *testing.T) {
 					if err != nil {
 						t.Fatalf("crash %d: read f%d: %v", crash, i, err)
 					}
-					if len(got) == 0 && !created {
-						continue // create durable, write not
+					contents[i] = append([]byte{}, got...)
+				}
+				if !created {
+					last := -1 // highest-index file present
+					for i := range contents {
+						if contents[i] != nil {
+							last = i
+						}
 					}
-					if !bytes.Equal(got, body(i)) {
+					for i := 0; i < last; i++ {
+						if contents[i] == nil {
+							t.Fatalf("crash %d: f%d absent but later f%d present", crash, i, last)
+						}
+					}
+					if last >= 0 && len(contents[last]) == 0 {
+						contents[last] = nil // create kept, write not
+					}
+				}
+				for i, got := range contents {
+					if got != nil && !bytes.Equal(got, body(i)) {
 						t.Fatalf("crash %d: f%d has partial contents (%d bytes)", crash, i, len(got))
 					}
 				}

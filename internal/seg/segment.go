@@ -132,34 +132,6 @@ func (l Layout) TailOff(entryBytes int) int {
 	return off
 }
 
-// extents returns the byte ranges a seal of dataBlocks data blocks and
-// entryBytes of entries writes, as (offset, length) pairs relative to
-// the segment start: the whole image for a full segment, otherwise the
-// data prefix (omitted when empty) and the summary tail.
-func (l Layout) extents(dataBlocks, entryBytes int) (r [2][2]int, n int) {
-	if !l.split(dataBlocks, entryBytes) {
-		r[0] = [2]int{0, l.SegBytes}
-		return r, 1
-	}
-	if dataBlocks > 0 {
-		r[n] = [2]int{0, dataBlocks * l.BlockSize}
-		n++
-	}
-	tail := l.TailOff(entryBytes)
-	r[n] = [2]int{tail, l.SegBytes - tail}
-	return r, n + 1
-}
-
-// Extents returns the (offset, length) byte ranges the seal that wrote
-// trailer t put on the device; a legacy segment was written whole.
-func (t Trailer) Extents(l Layout) [][2]int {
-	if t.Version < 2 {
-		return [][2]int{{0, l.SegBytes}}
-	}
-	r, n := l.extents(int(t.DataBlocks), int(t.EntryBytes))
-	return r[:n]
-}
-
 // Split reports whether the segment t seals was written as two extents
 // and therefore carries a data CRC. Legacy segments were always
 // written whole.
@@ -325,16 +297,22 @@ func (b *Builder) Seal(seq uint64) []Extent {
 		EntryBytes: uint32(b.entryBytes),
 		entriesCRC: crc32.Checksum(region, crcTable),
 	}
-	if b.layout.split(b.nblocks, b.entryBytes) {
-		t.dataCRC = crc32.Checksum(b.buf[:b.nblocks*b.layout.BlockSize], crcTable)
-	}
-	encodeTrailer(b.buf, t)
 	b.tailOff = min(b.tailOff, off)
-	r, n := b.layout.extents(b.nblocks, b.entryBytes)
-	for i, x := range r[:n] {
-		b.ext[i] = Extent{Off: x[0], Data: b.buf[x[0] : x[0]+x[1]]}
+	if !b.layout.split(b.nblocks, b.entryBytes) {
+		encodeTrailer(b.buf, t)
+		b.ext[0] = Extent{Off: 0, Data: b.buf}
+		return b.ext[:1]
 	}
-	return b.ext[:n]
+	data := b.buf[:b.nblocks*b.layout.BlockSize]
+	t.dataCRC = crc32.Checksum(data, crcTable)
+	encodeTrailer(b.buf, t)
+	n := 0
+	if len(data) > 0 {
+		b.ext[n] = Extent{Off: 0, Data: data}
+		n++
+	}
+	b.ext[n] = Extent{Off: off, Data: b.buf[off:]}
+	return b.ext[:n+1]
 }
 
 // Image returns the builder's full segment image. After Seal it is the
