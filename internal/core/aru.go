@@ -88,6 +88,7 @@ func (m mode) touchList(cl *altList, ts uint64) {
 // On the sequential variant at most one ARU may be open at a time.
 func (d *LLD) BeginARU() (ARUID, error) {
 	d.mu.Lock()
+	d.awaitCheckpointLocked()
 	defer d.mu.Unlock()
 	defer d.publishLocked()
 	if d.closed {
@@ -409,6 +410,44 @@ func (d *LLD) AbortARU(aru ARUID) error {
 	d.stats.ARUsAborted.Add(1)
 	d.obs.Emit(obs.EvARUAbort, uint64(aru), 0, 0)
 	return nil
+}
+
+// checkpointWait bounds how long BeginARU holds a new unit back for
+// the open ones to finish when the log is nearly full. A bound, not a
+// condition, because the caller may itself hold one of the open units.
+const checkpointWait = 20 * time.Millisecond
+
+// awaitCheckpointLocked lets a due checkpoint run before a new unit
+// opens once fewer than CleanerLowWater segments are free. Checkpoints
+// and the cleaner need a moment with no unit open and no batch in
+// flight; a steady stream of overlapping units, each sealed by frequent
+// flushes, may never leave one, and then no segment is ever reused and
+// the disk fills. So the new unit waits, up to checkpointWait, for the
+// open ones to finish, rides out the in-flight batch, and maintains.
+// Called and returns with d.mu held.
+func (d *LLD) awaitCheckpointLocked() {
+	due := func() bool {
+		return !d.closed && d.params.CheckpointEvery > 0 &&
+			d.segsSinceC >= d.params.CheckpointEvery && d.freeCache < d.params.CleanerLowWater
+	}
+	if !due() {
+		return
+	}
+	for deadline := time.Now().Add(checkpointWait); len(d.arus) != 0 && time.Now().Before(deadline); {
+		d.mu.Unlock()
+		time.Sleep(50 * time.Microsecond)
+		d.mu.Lock()
+	}
+	if len(d.arus) != 0 || !due() {
+		return
+	}
+	d.mu.Unlock()
+	d.lockDrained()
+	if len(d.arus) == 0 && due() {
+		d.pubSafe = true
+		d.maybeMaintain()
+		d.pubSafe = false
+	}
 }
 
 // ActiveARUs returns the number of currently open ARUs.
