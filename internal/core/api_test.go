@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"aru/internal/disk"
 	"aru/internal/seg"
@@ -502,5 +503,65 @@ func TestAbortedAllocsSwept(t *testing.T) {
 	}
 	if err := d.VerifyInternal(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCheckpointWindowAtBegin: with a checkpoint due and the log nearly
+// full, BeginARU holds a new unit back until the open one ends, so the
+// maintenance after that commit finds no unit open and checkpoints.
+// Opening the new unit at once would defer the checkpoint again, and
+// a stream of overlapping units could defer it until the disk is full.
+func TestCheckpointWindowAtBegin(t *testing.T) {
+	d, _ := newTestLLD(t, Params{Layout: testLayout(32), CheckpointEvery: 4, CleanerLowWater: 8})
+	lst, _ := d.NewList(0)
+	b, err := d.NewBlock(0, lst, NilBlock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hold, err := d.BeginARU()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One segment per Flush; the open unit keeps every checkpoint back.
+	ckpts := d.Stats().Checkpoints
+	for i := 0; d.FreeSegments() >= 8; i++ {
+		if err := d.Write(0, b, fill(d, byte(i))); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if d.Stats().Checkpoints != ckpts {
+		t.Fatal("set-up: a checkpoint ran while a unit was open")
+	}
+
+	type begun struct {
+		id   ARUID
+		err  error
+		took time.Duration
+	}
+	started, done := make(chan struct{}), make(chan begun, 1)
+	go func() {
+		close(started)
+		t0 := time.Now()
+		id, err := d.BeginARU()
+		done <- begun{id, err, time.Since(t0)}
+	}()
+	<-started
+	time.Sleep(2 * time.Millisecond)
+	if err := d.EndARU(hold); err != nil {
+		t.Fatal(err)
+	}
+	r := <-done
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	defer d.EndARU(r.id)
+	if r.took >= checkpointWait {
+		t.Skipf("BeginARU waited out its %v bound (scheduler stall): inconclusive", checkpointWait)
+	}
+	if d.Stats().Checkpoints == ckpts {
+		t.Fatal("the new unit opened before the due checkpoint could run")
 	}
 }
